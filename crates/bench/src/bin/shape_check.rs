@@ -1,4 +1,8 @@
-use ecfs::{run_trace, ClusterConfig, MethodKind, ReplayConfig};
+//! Fig. 5 shape check: replays every method on Ali-Cloud at RS(6,2) and
+//! RS(6,4), prints the ranking, and exits non-zero unless TSUE's update
+//! IOPS is above every baseline's at both shapes.
+
+use ecfs::{ClusterConfig, MethodKind, Replay, ReplayConfig};
 use rscode::CodeParams;
 use traces::TraceFamily;
 
@@ -10,6 +14,7 @@ fn main() {
     } else {
         (64, 800)
     };
+    let mut failures = vec![];
     for m in [2usize, 4] {
         let code = CodeParams::new(6, m).unwrap();
         println!("== RS(6,{m}) Ali-Cloud, {clients} clients, {ops} ops/client ==");
@@ -27,7 +32,7 @@ fn main() {
             let mut r = ReplayConfig::new(cluster, TraceFamily::AliCloud);
             r.ops_per_client = ops;
             r.volume_bytes = 128 << 20;
-            let res = run_trace(&r);
+            let res = Replay::run(&r).result;
             println!("{:6} iops={:8.0} lat_us={:7.1} rw_ops={:8} ow_ops={:7} net_gib={:6.2} erases={:5} drain_s={:6.3} stalls={}",
                 method.name(), res.update_iops, res.latency_mean_us, res.disk.rw_ops(), res.disk.overwrites.ops, res.net_gib, res.erases, res.drain_s, res.stalls);
             results.push((method, res.update_iops));
@@ -40,7 +45,16 @@ fn main() {
         for (method, iops) in &results {
             if *method != MethodKind::Tsue {
                 println!("  TSUE/{} = {:.2}x", method.name(), tsue / iops);
+                if tsue <= *iops {
+                    failures.push(format!("RS(6,{m}): TSUE does not beat {}", method.name()));
+                }
             }
         }
+    }
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("shape check failed: {f}");
+        }
+        std::process::exit(1);
     }
 }

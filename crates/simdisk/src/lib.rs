@@ -15,7 +15,9 @@
 //!    in-place overwrites invalidate pages and eventually force garbage
 //!    collection, whose relocations and block erases are both charged to
 //!    the device timeline and counted for the lifespan analysis
-//!    (paper §5.3.4 and Table 1) ([`ssd::Ftl`]).
+//!    (paper §5.3.4 and Table 1) ([`ssd::Ftl`]). The FTL's mapping tables
+//!    are sparse, so an SSD's host memory scales with the pages written,
+//!    not with its capacity.
 //!
 //! All devices expose the same [`IoOp`]/[`submit`](Disk::submit) interface
 //! returning completion times against a [`simdes::Resource`] queue, plus
