@@ -360,12 +360,18 @@ pub struct Cluster {
     pub client_driver: Option<fn(&mut Sim<Cluster>, &mut Cluster, u64)>,
     /// Reverse map from compact stripe keys to `(volume, stripe)`.
     pub stripe_names: std::collections::HashMap<u64, (u32, u64)>,
-    /// Per-client op queues installed by the replay engine, keyed by
-    /// client id. Sparse: an entry exists only while the client has queued
-    /// op content, and is removed when drained — at million-client scale
-    /// the map never grows past the concurrently active set.
+    /// Per-client open-loop op queues installed by the replay engine,
+    /// keyed by client id. Sparse: an entry exists only while the client
+    /// has queued op content, and is removed when drained — at
+    /// million-client scale the map never grows past the concurrently
+    /// active set.
     pub client_ops:
         std::collections::HashMap<u64, std::collections::VecDeque<(u64, u32, traces::OpKind)>>,
+    /// Closed-loop op streams installed by the replay engine, indexed by
+    /// client id: each client's generator and the ops it has left to
+    /// issue. Ops are generated one at a time, as the client issues them.
+    /// Empty on the open-loop paths.
+    pub closed_loop: Vec<(traces::WorkloadGen, usize)>,
     /// Scheduled-but-not-yet-executed log-forwarding events (drain guard).
     pub forwards_in_flight: u64,
     /// Open-loop runtime state (window, admission queues, offered-load
@@ -433,6 +439,7 @@ impl Cluster {
             client_driver: None,
             stripe_names: std::collections::HashMap::new(),
             client_ops: std::collections::HashMap::new(),
+            closed_loop: Vec::new(),
             forwards_in_flight: 0,
             open_loop: None,
             faults: FaultState::default(),

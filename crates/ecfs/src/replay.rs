@@ -569,19 +569,26 @@ impl RunResult {
     }
 }
 
+/// Closed-loop completion driver: generates and issues `client`'s next op,
+/// until the client has issued all of its ops.
 fn client_next(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64) {
-    issue_next_op(sim, cl, client, sim.now());
+    let (gen, left) = &mut cl.closed_loop[client as usize];
+    if *left == 0 {
+        return; // this client is done
+    }
+    *left -= 1;
+    let op = gen.next().expect("generator is infinite");
+    issue_op(sim, cl, client, (op.offset, op.len, op.kind), sim.now());
 }
 
-/// Pops and issues `client`'s next op. `issued_at` anchors the
-/// client-observed latency: on the closed loop it is always `sim.now()`;
-/// on the open loop it is the op's *arrival* time, so admission-queue
-/// delay lands in the latency the client sees.
+/// Pops and issues `client`'s next queued open-loop op. `issued_at` is
+/// the op's *arrival* time, so admission-queue delay lands in the latency
+/// the client sees.
 fn issue_next_op(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64, issued_at: SimTime) {
     let Some(queue) = cl.client_ops.get_mut(&client) else {
         return; // this client is done
     };
-    let Some((offset, len, kind)) = queue.pop_front() else {
+    let Some(op) = queue.pop_front() else {
         return; // this client is done
     };
     if queue.is_empty() {
@@ -589,6 +596,18 @@ fn issue_next_op(sim: &mut Sim<Cluster>, cl: &mut Cluster, client: u64, issued_a
         // op-content state never exceeds the concurrently active set.
         cl.client_ops.remove(&client);
     }
+    issue_op(sim, cl, client, op, issued_at);
+}
+
+/// Issues one op of `client` as its slices. `issued_at` anchors the
+/// client-observed latency (see the two callers).
+fn issue_op(
+    sim: &mut Sim<Cluster>,
+    cl: &mut Cluster,
+    client: u64,
+    (offset, len, kind): (u64, u32, OpKind),
+    issued_at: SimTime,
+) {
     let now = sim.now();
     let slices = cl.layout.slices(client as u32, offset, len);
     // Multi-block ops are issued as their first slice only for latency
@@ -730,19 +749,14 @@ pub fn run_update_phase(rcfg: &ReplayConfig) -> (Sim<Cluster>, Cluster) {
 
     match &rcfg.workload {
         Workload::ClosedLoop => {
-            // Generate each client's op stream up front (deterministic).
-            // The closed loop is inherently O(population): every client
-            // issues continuously, so there is no sparse win to chase.
-            for c in 0..rcfg.cluster.clients {
-                let params = WorkloadParams::for_family(rcfg.family, rcfg.volume_bytes);
-                let mut gen = WorkloadGen::new(params, rcfg.seed + c);
-                let ops: VecDeque<(u64, u32, OpKind)> = gen
-                    .take_ops(rcfg.ops_per_client)
-                    .into_iter()
-                    .map(|op| (op.offset, op.len, op.kind))
-                    .collect();
-                cl.client_ops.insert(c, ops);
-            }
+            // One generator per client, seeded `seed + c` and pulled only
+            // by that client, so each op is generated when it is issued.
+            // All of them share one hot-region sampler.
+            let params = WorkloadParams::for_family(rcfg.family, rcfg.volume_bytes);
+            let template = WorkloadGen::new(params, rcfg.seed);
+            cl.closed_loop = (0..rcfg.cluster.clients)
+                .map(|c| (template.reseeded(rcfg.seed + c), rcfg.ops_per_client))
+                .collect();
             cl.client_driver = Some(client_next);
         }
         Workload::Open(spec) => {

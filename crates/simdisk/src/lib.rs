@@ -15,9 +15,10 @@
 //!    in-place overwrites invalidate pages and eventually force garbage
 //!    collection, whose relocations and block erases are both charged to
 //!    the device timeline and counted for the lifespan analysis
-//!    (paper §5.3.4 and Table 1) ([`ssd::Ftl`]). The FTL's mapping tables
-//!    are sparse, so an SSD's host memory scales with the pages written,
-//!    not with its capacity.
+//!    (paper §5.3.4 and Table 1) ([`ssd::Ftl`]). The FTL's mapping table
+//!    is sparse, one `u32` per mapped logical page, so an SSD's host memory
+//!    scales with the pages written, not with its capacity; the inverse
+//!    map exists only from the first garbage collection on.
 //!
 //! All devices expose the same [`IoOp`]/[`submit`](Disk::submit) interface
 //! returning completion times against a [`simdes::Resource`] queue, plus

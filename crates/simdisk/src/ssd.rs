@@ -45,6 +45,23 @@ impl PageTable {
         leaf[i as usize & (LEAF_LEN - 1)] = v;
     }
 
+    /// The inverse of this table over `0..len`: every mapped `i -> v`
+    /// becomes `v -> i`. Only allocated leaves are walked, so the cost
+    /// follows the entries mapped, not `len`.
+    fn inverse(&self, len: u64) -> PageTable {
+        let mut inv = PageTable::new(len);
+        for (l, leaf) in self.leaves.iter().enumerate() {
+            let Some(leaf) = leaf else { continue };
+            let base = (l << LEAF_BITS) as u32;
+            for (off, &v) in leaf.iter().enumerate() {
+                if v != UNMAPPED {
+                    inv.set(v, base + off as u32);
+                }
+            }
+        }
+        inv
+    }
+
     /// Number of allocated leaves.
     #[cfg(test)]
     fn allocated_leaves(&self) -> usize {
@@ -56,7 +73,8 @@ impl PageTable {
 ///
 /// Defaults model a datacenter SATA/NVMe-class drive of the kind the paper's
 /// Chameleon nodes carried, scaled down in capacity. Capacity costs no host
-/// memory up front: the FTL's tables grow with the pages actually written.
+/// memory up front: the FTL holds one `u32` per mapped logical page, and
+/// derives its inverse map only at the first garbage collection.
 /// The latency constants encode the property the paper leans on: a small
 /// random command costs two orders of magnitude more than its share of a
 /// large sequential stream.
@@ -121,14 +139,20 @@ impl Default for SsdConfig {
 /// relocates them, and erases it. Erases and relocations are returned to
 /// the caller so they can be charged to the device timeline and to the
 /// wear counters.
+///
+/// Until the first GC the FTL holds one `u32` per mapped logical page,
+/// its `lpn -> ppa` map. GC is the only reader of the inverse
+/// `ppa -> lpn` map, so the first GC derives it from the forward map and
+/// writes maintain it from then on: a device that never collects garbage
+/// never pays for it.
 #[derive(Debug, Clone)]
 pub struct Ftl {
     pages_per_block: u32,
     logical_pages: u64,
     /// lpn -> ppa
     map: PageTable,
-    /// ppa -> lpn
-    rmap: PageTable,
+    /// ppa -> lpn, the exact inverse of `map`; `None` until the first GC
+    rmap: Option<PageTable>,
     /// valid page count per physical block
     valid: Vec<u16>,
     /// stack of free (erased) block ids
@@ -179,7 +203,7 @@ impl Ftl {
             pages_per_block: cfg.pages_per_block,
             logical_pages,
             map: PageTable::new(logical_pages),
-            rmap: PageTable::new(total_blocks as u64 * cfg.pages_per_block as u64),
+            rmap: None,
             valid: vec![0; total_blocks],
             free_blocks,
             is_free,
@@ -196,7 +220,8 @@ impl Ftl {
         self.logical_pages
     }
 
-    /// Whether `lpn` has ever been written (nothing un-maps a page).
+    /// Whether `lpn` has ever been written (a page is un-mapped only inside
+    /// [`write_page`](Ftl::write_page), which maps it again).
     fn is_mapped(&self, lpn: u64) -> bool {
         self.map.get(lpn as u32) != UNMAPPED
     }
@@ -207,16 +232,23 @@ impl Ftl {
         debug_assert!(lpn < self.logical_pages, "lpn out of range");
         let lpn = lpn as u32;
         let mut cost = FlashCost::default();
-        // Invalidate the previous location.
+        // Invalidate the previous location. `map` drops the entry too: the
+        // allocation below may run the first GC, which derives `rmap` from
+        // `map` and must not see the stale `old -> lpn` pair.
         let old = self.map.get(lpn);
         if old != UNMAPPED {
             let blk = (old / self.pages_per_block) as usize;
             self.valid[blk] -= 1;
-            self.rmap.set(old, UNMAPPED);
+            self.map.set(lpn, UNMAPPED);
+            if let Some(rmap) = &mut self.rmap {
+                rmap.set(old, UNMAPPED);
+            }
         }
         let ppa = self.allocate_page(&mut cost);
         self.map.set(lpn, ppa);
-        self.rmap.set(ppa, lpn);
+        if let Some(rmap) = &mut self.rmap {
+            rmap.set(ppa, lpn);
+        }
         self.valid[(ppa / self.pages_per_block) as usize] += 1;
         cost.host_pages += 1;
         cost
@@ -242,6 +274,13 @@ impl Ftl {
 
     fn collect_garbage(&mut self, cost: &mut FlashCost) {
         self.gc_active = true;
+        // Relocations allocate through `allocate_page`, which never reads
+        // `rmap`, so the table is held locally for the pass.
+        let physical_pages = self.total_blocks as u64 * self.pages_per_block as u64;
+        let mut rmap = self
+            .rmap
+            .take()
+            .unwrap_or_else(|| self.map.inverse(physical_pages));
         while self.free_blocks.len() < self.gc_threshold_blocks {
             // Greedy victim: fewest valid pages, excluding active and free.
             let mut victim = usize::MAX;
@@ -263,15 +302,15 @@ impl Ftl {
             let base = victim as u32 * self.pages_per_block;
             for p in 0..self.pages_per_block {
                 let ppa = base + p;
-                let lpn = self.rmap.get(ppa);
+                let lpn = rmap.get(ppa);
                 if lpn == UNMAPPED {
                     continue;
                 }
-                self.rmap.set(ppa, UNMAPPED);
+                rmap.set(ppa, UNMAPPED);
                 self.valid[victim] -= 1;
                 let new_ppa = self.allocate_page(cost);
                 self.map.set(lpn, new_ppa);
-                self.rmap.set(new_ppa, lpn);
+                rmap.set(new_ppa, lpn);
                 self.valid[(new_ppa / self.pages_per_block) as usize] += 1;
                 cost.moved_pages += 1;
             }
@@ -280,6 +319,7 @@ impl Ftl {
             self.free_blocks.push(victim as u32);
             self.is_free[victim] = true;
         }
+        self.rmap = Some(rmap);
         self.gc_active = false;
     }
 }
@@ -470,8 +510,9 @@ mod tests {
     use simdes::units::{MICROS, SECS};
 
     /// The FTL as it was before its tables went sparse: dense `lpn -> ppa`
-    /// and `ppa -> lpn` vectors and a GC that asks `free_blocks` for each
-    /// block it scans. Kept only as the reference [`Ftl`] must match.
+    /// and `ppa -> lpn` vectors, both kept from the first write, and a GC
+    /// that asks `free_blocks` for each block it scans. Kept only as the
+    /// reference [`Ftl`] must match.
     struct DenseFtl {
         pages_per_block: u32,
         map: Vec<u32>,
@@ -573,47 +614,80 @@ mod tests {
         }
     }
 
+    /// The FTL configuration the dense-reference checks run on: 4 MiB
+    /// (1024 logical pages) at 25% over-provisioning, so 20 blocks of 64
+    /// pages and a GC threshold of 2 free blocks.
+    fn reference_cfg() -> SsdConfig {
+        SsdConfig {
+            capacity: 4 << 20,
+            over_provision: 0.25,
+            ..SsdConfig::default()
+        }
+    }
+
+    /// Writes `lpns` to both an [`Ftl`] and a [`DenseFtl`]; every write must
+    /// cost what the dense FTL charges, and both must end in the same
+    /// state, the derived `rmap` included once GC has run. Returns the
+    /// sparse FTL and the index of the write that ran the first GC.
+    fn check_against_dense(lpns: impl IntoIterator<Item = u64>) -> (Ftl, Option<usize>) {
+        let cfg = reference_cfg();
+        let mut sparse = Ftl::new(&cfg);
+        let mut dense = DenseFtl::new(&cfg);
+        let mut first_gc = None;
+        for (i, lpn) in lpns.into_iter().enumerate() {
+            let cost = sparse.write_page(lpn);
+            assert_eq!(cost, dense.write_page(lpn), "write {i} of lpn {lpn}");
+            if cost.erases > 0 && first_gc.is_none() {
+                first_gc = Some(i);
+            }
+            assert_eq!(sparse.rmap.is_some(), first_gc.is_some(), "write {i}");
+        }
+        for (lpn, &ppa) in dense.map.iter().enumerate() {
+            assert_eq!(sparse.map.get(lpn as u32), ppa);
+        }
+        if let Some(rmap) = &sparse.rmap {
+            for (ppa, &lpn) in dense.rmap.iter().enumerate() {
+                assert_eq!(rmap.get(ppa as u32), lpn);
+            }
+        }
+        assert_eq!(&sparse.valid, &dense.valid);
+        assert_eq!(&sparse.free_blocks, &dense.free_blocks);
+        assert_eq!(sparse.active_block, dense.active_block);
+        assert_eq!(sparse.active_next_page, dense.active_next_page);
+        for b in 0..sparse.total_blocks {
+            assert_eq!(sparse.is_free[b], dense.free_blocks.contains(&(b as u32)));
+        }
+        (sparse, first_gc)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// A 4 MiB, 25%-over-provisioned FTL is filled once and then
-        /// overwritten at random within a hot set of `hot` pages, far past
-        /// GC onset; every write must cost what the dense FTL charges, and
-        /// both must end in the same state.
+        /// The FTL is filled once and then overwritten at random within a
+        /// hot set of `hot` pages, far past GC onset.
         #[test]
         fn sparse_ftl_matches_dense_reference(
             hot in 16u64..1024,
             writes in proptest::collection::vec(0u64..1024, 2000..6000),
         ) {
-            let cfg = SsdConfig {
-                capacity: 4 << 20,
-                over_provision: 0.25,
-                ..SsdConfig::default()
-            };
-            let mut sparse = Ftl::new(&cfg);
-            let mut dense = DenseFtl::new(&cfg);
-            let fill = 0..sparse.logical_pages();
-            let mut erases = 0;
-            for lpn in fill.chain(writes.iter().map(|w| w % hot)) {
-                let cost = sparse.write_page(lpn);
-                prop_assert_eq!(cost, dense.write_page(lpn), "write of lpn {}", lpn);
-                erases += cost.erases;
-            }
-            prop_assert!(erases > 0, "the sequence must run GC");
-            for (lpn, &ppa) in dense.map.iter().enumerate() {
-                prop_assert_eq!(sparse.map.get(lpn as u32), ppa);
-            }
-            for (ppa, &lpn) in dense.rmap.iter().enumerate() {
-                prop_assert_eq!(sparse.rmap.get(ppa as u32), lpn);
-            }
-            prop_assert_eq!(&sparse.valid, &dense.valid);
-            prop_assert_eq!(&sparse.free_blocks, &dense.free_blocks);
-            prop_assert_eq!(sparse.active_block, dense.active_block);
-            prop_assert_eq!(sparse.active_next_page, dense.active_next_page);
-            for b in 0..sparse.total_blocks {
-                prop_assert_eq!(sparse.is_free[b], dense.free_blocks.contains(&(b as u32)));
-            }
+            let fill = 0..reference_cfg().capacity / 4096;
+            let (_, first_gc) = check_against_dense(fill.chain(writes.iter().map(|w| w % hot)));
+            prop_assert!(first_gc.is_some(), "the sequence must run GC");
         }
+    }
+
+    /// The first GC runs inside an overwrite whose old page lies in the
+    /// victim block. After the fill, 192 overwrites take 12 pages from each
+    /// of the 16 filled blocks and fill the 3 spare blocks, so the 193rd
+    /// (of lpn 12) finds one free block, runs GC, and its own invalidation
+    /// leaves block 0 the unique emptiest, the first victim. Deriving `rmap` from a `map`
+    /// that still held `12 -> old` would relocate the dead page.
+    #[test]
+    fn first_gc_inside_an_overwrite_matches_dense_reference() {
+        let fill = 0..1024u64;
+        let overwrites = (0..193u64).map(|i| (i % 16) * 64 + i / 16);
+        let (_, first_gc) = check_against_dense(fill.chain(overwrites));
+        assert_eq!(first_gc, Some(1024 + 192));
     }
 
     #[test]
@@ -621,11 +695,25 @@ mod tests {
         let mut ssd = Ssd::with_defaults();
         assert_eq!(ssd.config().capacity, 2 << 30);
         assert_eq!(ssd.ftl.map.allocated_leaves(), 0);
-        assert_eq!(ssd.ftl.rmap.allocated_leaves(), 0);
-        ssd.submit(0, IoOp::write(1 << 30, 4096, Pattern::Random));
-        assert!(ssd.ftl.map.allocated_leaves() <= 1);
-        assert!(ssd.ftl.rmap.allocated_leaves() <= 1);
+        assert!(ssd.ftl.rmap.is_none());
+        // Pages 4096 apart each land in a leaf of their own.
+        for i in 0..8u64 {
+            ssd.submit(
+                0,
+                IoOp::write((1 << 30) + i * (16 << 20), 4096, Pattern::Random),
+            );
+            assert!(ssd.ftl.map.allocated_leaves() as u64 <= i + 1);
+        }
         assert!(ssd.ftl.is_mapped(1 << 18));
+        assert!(ssd.ftl.rmap.is_none(), "no GC, no inverse map");
+
+        let mut ssd = Ssd::new(reference_cfg());
+        let cap = ssd.capacity();
+        for off in (0..2 * cap).step_by(4096) {
+            ssd.submit(0, IoOp::write(off % cap, 4096, Pattern::Random));
+        }
+        assert!(ssd.stats().erases > 0);
+        assert!(ssd.ftl.rmap.is_some(), "GC derived the inverse map");
     }
 
     fn small_ssd() -> Ssd {

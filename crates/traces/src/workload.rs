@@ -254,12 +254,32 @@ impl WorkloadGen {
     /// Panics if the parameters fail validation.
     pub fn new(params: WorkloadParams, seed: u64) -> WorkloadGen {
         params.validate().expect("invalid workload parameters");
+        let (_, frontier) = Self::initial_slots(&params);
+        let hot_slots = ((frontier as f64 * params.hot_fraction) as u64).max(4);
+        let zipf_hot = Zipf::new(hot_slots, params.zipf_theta);
+        Self::with_sampler(params, zipf_hot, seed)
+    }
+
+    /// A fresh generator over the same parameters with another seed:
+    /// yields exactly what `WorkloadGen::new(self.params().clone(), seed)`
+    /// would, however far `self` has run, but clones this generator's
+    /// hot-region sampler instead of recomputing its O(hot slots)
+    /// harmonic sum.
+    pub fn reseeded(&self, seed: u64) -> WorkloadGen {
+        Self::with_sampler(self.params.clone(), self.zipf_hot.clone(), seed)
+    }
+
+    /// `(total_slots, frontier)` before the first op.
+    fn initial_slots(params: &WorkloadParams) -> (u64, u64) {
         let total_slots = params.volume_bytes / SLOT;
         let frontier = ((total_slots as f64 * params.prefilled_fraction) as u64).max(8);
-        let hot_slots = ((frontier as f64 * params.hot_fraction) as u64).max(4);
+        (total_slots, frontier)
+    }
+
+    fn with_sampler(params: WorkloadParams, zipf_hot: Zipf, seed: u64) -> WorkloadGen {
+        let (total_slots, frontier) = Self::initial_slots(&params);
         let mut rng = StdRng::seed_from_u64(seed);
-        let hot_base = rng.random_range(0..frontier.saturating_sub(hot_slots).max(1));
-        let zipf_hot = Zipf::new(hot_slots, params.zipf_theta);
+        let hot_base = rng.random_range(0..frontier.saturating_sub(zipf_hot.n()).max(1));
         WorkloadGen {
             params,
             rng,
@@ -398,6 +418,24 @@ mod tests {
         let mut a = WorkloadGen::new(WorkloadParams::ali_cloud(VOL), 42);
         let mut b = WorkloadGen::new(WorkloadParams::ali_cloud(VOL), 42);
         assert_eq!(a.take_ops(5000), b.take_ops(5000));
+    }
+
+    #[test]
+    fn reseeded_matches_new() {
+        for params in [
+            WorkloadParams::ali_cloud(VOL),
+            WorkloadParams::ten_cloud(VOL),
+        ] {
+            let mut template = WorkloadGen::new(params.clone(), 1);
+            // Running the template (which moves its frontier) must not leak
+            // into the generators it seeds.
+            template.take_ops(3000);
+            for seed in [1, 2, 99] {
+                let mut fresh = WorkloadGen::new(params.clone(), seed);
+                let mut forked = template.reseeded(seed);
+                assert_eq!(forked.take_ops(5000), fresh.take_ops(5000), "seed {seed}");
+            }
+        }
     }
 
     #[test]
