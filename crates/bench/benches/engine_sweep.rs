@@ -1,32 +1,21 @@
 //! Engine sweep: the simulation engine's own speed trajectory.
 //!
-//! Three parts, mirroring the engine's three performance layers:
+//! Two parts:
 //!
 //! 1. **Micro** — schedule/pop throughput of the serial event loop, boxed
 //!    closures vs the unboxed function-pointer path (`schedule_call`).
 //!    This bounds every replay from below: no sweep can retire events
 //!    faster than the bare scheduler.
-//! 2. **Synthetic scaling** — a fixed budget of busy-work events split
-//!    across 1/2/4/8 shards of the conservative-epoch engine
-//!    ([`simdes::ShardedSim`]). With partitionable work the engine is
-//!    expected to scale: the 4-shard speedup finding is the engine's
-//!    parallel headroom, measured without replay-model coupling.
-//! 3. **Replay ladder** — the `load_sweep` smoke cell (TSUE, open-loop
-//!    Poisson arrivals) replayed at `shards` = 1/2/4/8, asserting the
-//!    sharded runs equal the serial run field for field and reporting
-//!    wall-clock speedup. Today's replay decomposition offloads
-//!    bookkeeping (telemetry + consistency-oracle sinks) while all seven
-//!    method drivers still serialise on the shared cluster state, so the
-//!    replay speedup is bounded well below the synthetic ceiling — the
-//!    gap between the two findings *is* the open roadmap item (spatial
-//!    sharding of the cluster itself).
+//! 2. **Replay** — the `load_sweep` smoke cell (TSUE, open-loop Poisson
+//!    arrivals) replayed once on the serial loop, reporting its event
+//!    count and events per wall-clock second.
 //!
 //! Emits `BENCH_engine_sweep.json` with per-part rows and headline
-//! findings (`micro_unboxed_mevps`, `synthetic_speedup_4`,
-//! `replay_speedup_4`, `sharded_equals_serial`) for the regression gate.
+//! findings (`micro_boxed_mevps`, `micro_unboxed_mevps`) for the
+//! regression gate.
 
 use ecfs::prelude::*;
-use simdes::{CrossSend, ShardWorld, ShardedSim, Sim, SimShard, SimTime};
+use simdes::Sim;
 use traces::TraceFamily;
 use tsue_bench::{print_table, ssd_replay, BenchReport};
 
@@ -39,20 +28,10 @@ fn micro_events() -> u64 {
     }
 }
 
-/// Total busy-work events split across the synthetic shards.
-fn synthetic_events() -> u64 {
-    if tsue_bench::smoke() {
-        80_000
-    } else {
-        400_000
-    }
-}
-
 /// One serial chain of `n` events; returns events/second retired.
 ///
 /// `boxed` selects the heap-allocating closure path; otherwise the
-/// unboxed `schedule_call` path (the per-event overhead cut the sharded
-/// engine work landed alongside).
+/// unboxed `schedule_call` path.
 fn micro_chain(boxed: bool, n: u64) -> f64 {
     let mut sim: Sim<u64> = Sim::new();
     let mut remaining = n;
@@ -79,112 +58,18 @@ fn micro_chain(boxed: bool, n: u64) -> f64 {
     sim.events_executed() as f64 / secs.max(1e-9)
 }
 
-/// A shard-local world burning CPU per event, no cross-shard traffic:
-/// the embarrassingly-parallel end of the engine's workload spectrum.
-struct Spin {
-    remaining: u64,
-    acc: u64,
-}
-
-/// Simulated nanoseconds between a spin world's events.
-const SPIN_INTERVAL: SimTime = 1_000;
-
-impl ShardWorld for Spin {
-    type Msg = ();
-
-    fn on_message(_sim: &mut Sim<Self>, _world: &mut Self, _src: usize, _msg: ()) {
-        unreachable!("spin worlds never message each other");
-    }
-
-    fn drain_outbox(&mut self, _now: SimTime) -> Vec<CrossSend<()>> {
-        Vec::new()
-    }
-}
-
-fn spin_step(sim: &mut Sim<Spin>, w: &mut Spin) {
-    // ~200 xorshift rounds: enough work per event that the epoch
-    // barrier cost does not dominate, little enough that smoke stays
-    // fast.
-    let mut x = w.acc | 1;
-    for _ in 0..200 {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-    }
-    w.acc = x;
-    if w.remaining > 0 {
-        w.remaining -= 1;
-        sim.schedule_call(SPIN_INTERVAL, spin_step);
-    }
-}
-
-/// Runs `total` spin events split across `shards` shards on as many
-/// threads; returns (wall seconds, digest over shard accumulators).
-fn synthetic_run(shards: usize, total: u64) -> (f64, u64) {
-    // Epoch: 1000 events per shard per barrier — honest barrier traffic
-    // rather than one degenerate mega-epoch.
-    let mut engine = ShardedSim::new(SPIN_INTERVAL).with_epoch(SPIN_INTERVAL * 1_000);
-    for id in 0..shards {
-        let mut sim: Sim<Spin> = Sim::new();
-        sim.schedule_call(SPIN_INTERVAL, spin_step);
-        engine.add_shard(Box::new(SimShard::new(
-            sim,
-            Spin {
-                remaining: total / shards as u64 - 1,
-                acc: id as u64 + 1,
-            },
-        )));
-    }
-    let start = std::time::Instant::now();
-    engine.run(shards);
-    let secs = start.elapsed().as_secs_f64();
-    let mut digest = 0u64;
-    for shard in engine.into_shards() {
-        let s = shard
-            .into_any()
-            .downcast::<SimShard<Spin>>()
-            .expect("spin shard");
-        digest = digest.wrapping_mul(31).wrapping_add(s.world.acc);
-    }
-    (secs, digest)
-}
-
 /// The `load_sweep` smoke cell: TSUE, open-loop Poisson arrivals.
-fn replay_cell(shards: usize) -> ReplayConfig {
+fn replay_cell() -> ReplayConfig {
     let mut r = ssd_replay(6, 3, MethodKind::Tsue, TraceFamily::AliCloud, 6);
     r.ops_per_client = if tsue_bench::smoke() { 100 } else { 400 };
     r.volume_bytes = 32 << 20;
     r.workload = Workload::Open(OpenLoopSpec::poisson(64_000.0).with_window(4));
-    r.shards = shards;
     r
-}
-
-/// The deterministic fields the sharded replay must reproduce exactly.
-fn replay_fingerprint(r: &RunResult) -> (u64, u64, u64, u64, u64, u64, String) {
-    (
-        r.completed_updates,
-        r.completed_reads,
-        r.completed_writes,
-        r.net_msgs,
-        r.disk.rw_ops(),
-        r.sim_events,
-        format!(
-            "{:?}|{:?}|{:?}|{:?}",
-            r.update_iops, r.latency_mean_us, r.net_gib, r.duration_s
-        ),
-    )
 }
 
 fn main() {
     let mut report = BenchReport::new("engine_sweep");
     let mut rows = Vec::new();
-
-    // Wall-clock speedup needs cores: record the host's parallel budget
-    // so a reader (and the gate) can interpret the speedup findings. On
-    // a 1-core host every speedup honestly reads ~1.0 — the engine's
-    // contract is that results stay bit-identical regardless.
-    let threads = ecfs::replay_threads();
-    report.add_finding("threads_available", threads);
 
     // Part 1: serial schedule/pop micro-throughput.
     let n = micro_events();
@@ -202,96 +87,34 @@ fn main() {
             label.into(),
             format!("{n}"),
             format!("{:.2}M/s", evps / 1e6),
-            String::new(),
         ]);
     }
     report.add_finding("micro_boxed_mevps", boxed_evps / 1e6);
     report.add_finding("micro_unboxed_mevps", unboxed_evps / 1e6);
 
-    // Part 2: synthetic sharded scaling (fixed total work).
-    let total = synthetic_events();
-    let mut synthetic_serial = 0.0f64;
-    for shards in [1usize, 2, 4, 8] {
-        let (secs, digest) = synthetic_run(shards, total);
-        // The digest keeps the busy-work observable (no dead-code
-        // elision); its value depends on the split so it is not
-        // compared across rungs.
-        assert_ne!(digest, 0, "spin work was optimised away");
-        if shards == 1 {
-            synthetic_serial = secs;
-        }
-        let speedup = synthetic_serial / secs.max(1e-9);
-        report.add_row(vec![
-            ("part", "synthetic".into()),
-            ("shards", shards.into()),
-            ("events", total.into()),
-            ("wall_ms", (secs * 1e3).into()),
-            ("events_per_sec", (total as f64 / secs.max(1e-9)).into()),
-            ("speedup", speedup.into()),
-        ]);
-        rows.push(vec![
-            "synthetic".into(),
-            format!("{shards} shards"),
-            format!("{total}"),
-            format!("{:.2}M/s", total as f64 / secs.max(1e-9) / 1e6),
-            format!("{speedup:.2}x"),
-        ]);
-        if shards > 1 {
-            report.add_finding(&format!("synthetic_speedup_{shards}"), speedup);
-        }
-    }
-
-    // Part 3: the replay ladder on the load_sweep smoke cell. The first
-    // serial run is a warm-up (cold caches and page faults would inflate
-    // every sharded rung's speedup); it still anchors the equality check.
-    let serial = run_trace(&replay_cell(1));
-    let serial_print = replay_fingerprint(&serial);
-    let mut equals_serial = true;
-    let mut baseline_ms = 0.0f64;
-    for shards in [1usize, 2, 4, 8] {
-        let res = run_trace(&replay_cell(shards));
-        if replay_fingerprint(&res) != serial_print {
-            equals_serial = false;
-        }
-        if shards == 1 {
-            baseline_ms = res.wall_ms;
-        }
-        let speedup = baseline_ms / res.wall_ms.max(1e-9);
-        report.add_row(vec![
-            ("part", "replay".into()),
-            ("shards", shards.into()),
-            ("events", res.sim_events.into()),
-            ("wall_ms", res.wall_ms.into()),
-            ("events_per_sec", res.events_per_sec.into()),
-            ("speedup", speedup.into()),
-        ]);
-        rows.push(vec![
-            "replay".into(),
-            format!("{shards} shards"),
-            format!("{}", res.sim_events),
-            format!("{:.0}k ev/s", res.events_per_sec / 1e3),
-            format!("{speedup:.2}x"),
-        ]);
-        if shards > 1 {
-            report.add_finding(&format!("replay_speedup_{shards}"), speedup);
-        }
-    }
-    assert!(
-        equals_serial,
-        "sharded replay diverged from serial on the smoke cell"
-    );
-    report.add_finding("sharded_equals_serial", equals_serial);
+    // Part 2: one serial replay of the load_sweep smoke cell.
+    let res = Replay::run(&replay_cell()).result;
+    report.add_row(vec![
+        ("part", "replay".into()),
+        ("events", res.sim_events.into()),
+        ("wall_ms", res.wall_ms.into()),
+        ("events_per_sec", res.events_per_sec.into()),
+    ]);
+    rows.push(vec![
+        "replay".into(),
+        "serial".into(),
+        format!("{}", res.sim_events),
+        format!("{:.0}k ev/s", res.events_per_sec / 1e3),
+    ]);
 
     print_table(
-        "Engine sweep: scheduler micro, synthetic shard scaling, replay ladder",
-        &["part", "config", "events", "rate", "speedup"],
+        "Engine sweep: scheduler micro, serial replay",
+        &["part", "config", "events", "rate"],
         &rows,
     );
 
-    // Shape assertions: the unboxed path must not lose to boxed by more
-    // than noise, and the engine must actually scale on partitionable
-    // work (the replay ladder's shortfall vs this ceiling is documented,
-    // not asserted — bookkeeping offload alone cannot reach 1.5x).
+    // Shape assertion: the unboxed path must not lose to boxed by more
+    // than noise.
     assert!(
         unboxed_evps > boxed_evps * 0.9,
         "unboxed scheduling path regressed: {unboxed_evps:.0} vs boxed {boxed_evps:.0} ev/s"

@@ -20,11 +20,10 @@
 //!    one injected error detected *and* repaired), the full maintenance
 //!    plan's wear spread stays below the no-maintenance baseline, and
 //!    scrub coverage is nonzero while the foreground p99 stays finite.
-//! 6. `engine_sweep`: the sharded replay reproduced the serial run field
-//!    for field (`sharded_equals_serial`), the scheduler micro-throughput
-//!    and shard-scaling findings are present and positive, and — across
-//!    **every** report — each row carries a positive `events_per_sec`,
-//!    so no sweep silently drops the engine-speed cells.
+//! 6. `engine_sweep`: the scheduler micro-throughput findings are present
+//!    and positive, and — across **every** report — each row carries a
+//!    positive `events_per_sec`, so no sweep silently drops the
+//!    engine-speed cells.
 //! 7. `scale_sweep`: the open-loop runtime stays O(active) as the client
 //!    population grows 1 k → 1 M — peak active clients track the window
 //!    math (bounded, nowhere near the population), resident client-state
@@ -285,23 +284,12 @@ fn main() {
         }
     }
 
-    // 6. Engine sweep: the parallel engine's determinism contract and the
-    // speed trajectory's presence. Speedup *values* are not gated — they
-    // measure the host (a 1-core runner honestly reports ~1.0x) — but the
-    // findings must exist and be positive so the trajectory stays
-    // machine-readable, and the sharded replay must have reproduced the
-    // serial run exactly.
+    // 6. Engine sweep: the speed trajectory's presence. Throughput
+    // *values* are not gated — they measure the host — but the findings
+    // must exist and be positive so the trajectory stays machine-readable.
     if let Some(engine) = get("engine_sweep") {
         println!("\nengine_sweep:");
         let _ = rows(engine, "engine_sweep", &mut gate);
-        let equal = engine
-            .get("findings")
-            .and_then(|f| f.get("sharded_equals_serial"))
-            .and_then(|v| v.as_bool());
-        gate.check(
-            equal == Some(true),
-            "sharded replay equals serial field for field on the smoke cell",
-        );
         let boxed = gate.finding(engine, "micro_boxed_mevps");
         let unboxed = gate.finding(engine, "micro_unboxed_mevps");
         gate.check_cmp(
@@ -312,24 +300,6 @@ fn main() {
                  (boxed {boxed:.1} Mev/s, unboxed {unboxed:.1} Mev/s)"
             ),
         );
-        let threads = gate.finding(engine, "threads_available");
-        gate.check_cmp(
-            &[threads],
-            threads >= 1.0,
-            &format!("host parallel budget recorded ({threads:.0} threads)"),
-        );
-        for shards in [2, 4, 8] {
-            let synth = gate.finding(engine, &format!("synthetic_speedup_{shards}"));
-            let replay = gate.finding(engine, &format!("replay_speedup_{shards}"));
-            gate.check_cmp(
-                &[synth, replay],
-                synth > 0.0 && replay > 0.0,
-                &format!(
-                    "{shards}-shard speedups reported \
-                     (synthetic {synth:.2}x, replay {replay:.2}x)"
-                ),
-            );
-        }
     }
 
     // 7. Scale sweep: the million-client trajectory holds flat. The

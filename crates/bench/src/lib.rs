@@ -48,9 +48,8 @@ pub fn ops_per_client() -> usize {
 /// Each `Sim`/`Cluster` pair is self-contained and every replay is
 /// deterministic, so fanning the grid out across worker threads changes
 /// wall-clock time only — the `RunResult`s are identical to a serial
-/// loop. The worker count follows [`ecfs::replay_threads`]: the
-/// `TSUE_BENCH_THREADS` environment override when set, otherwise
-/// `std::thread::available_parallelism()`.
+/// loop. The worker count is the `TSUE_BENCH_THREADS` override when it is
+/// a positive integer, otherwise the machine's available parallelism.
 pub fn run_grid(configs: &[ReplayConfig]) -> Vec<RunResult> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -58,7 +57,7 @@ pub fn run_grid(configs: &[ReplayConfig]) -> Vec<RunResult> {
     if configs.is_empty() {
         return Vec::new();
     }
-    let workers = ecfs::replay_threads().min(configs.len());
+    let workers = replay_threads().min(configs.len());
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<RunResult>>> = configs.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
@@ -68,7 +67,7 @@ pub fn run_grid(configs: &[ReplayConfig]) -> Vec<RunResult> {
                 let Some(rcfg) = configs.get(i) else {
                     break;
                 };
-                let result = run_trace(rcfg);
+                let result = Replay::run(rcfg).result;
                 *slots[i].lock().unwrap() = Some(result);
             });
         }
@@ -81,6 +80,25 @@ pub fn run_grid(configs: &[ReplayConfig]) -> Vec<RunResult> {
                 .expect("worker completed every claimed slot")
         })
         .collect()
+}
+
+/// Worker-thread count for [`run_grid`] (see there).
+fn replay_threads() -> usize {
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    threads_from(
+        std::env::var("TSUE_BENCH_THREADS").ok().as_deref(),
+        available,
+    )
+}
+
+/// The worker count for a `TSUE_BENCH_THREADS` value: the value when it
+/// parses (surrounding whitespace allowed) to a positive integer,
+/// `available` when it is unset, empty, zero or not a number.
+fn threads_from(value: Option<&str>, available: usize) -> usize {
+    value
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&n: &usize| n > 0)
+        .unwrap_or(available)
 }
 
 /// The engine-speed cells every sweep row carries: the simulated event
@@ -258,6 +276,16 @@ mod tests {
     }
 
     #[test]
+    fn thread_override_falls_back_to_available_parallelism() {
+        assert_eq!(threads_from(Some(" 3 "), 8), 3);
+        assert_eq!(threads_from(Some("1"), 8), 1);
+        for bad in ["abc", "", "0", "-2"] {
+            assert_eq!(threads_from(Some(bad), 8), 8, "value {bad:?}");
+        }
+        assert_eq!(threads_from(None, 8), 8);
+    }
+
+    #[test]
     fn knee_hysteresis() {
         // Never saturates.
         assert_eq!(knee_index(&[false, false, false]), None);
@@ -288,7 +316,7 @@ mod tests {
         let parallel = run_grid(&configs);
         assert_eq!(parallel.len(), configs.len());
         for (rcfg, p) in configs.iter().zip(&parallel) {
-            let s = run_trace(rcfg);
+            let s = Replay::run(rcfg).result;
             assert_eq!(p.method, s.method);
             assert_eq!(p.completed_updates, s.completed_updates);
             assert_eq!(p.net_msgs, s.net_msgs);

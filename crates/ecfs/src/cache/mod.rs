@@ -120,7 +120,7 @@ impl StagingConfig {
 
 /// One node's write-staging buffer: coalesced byte ranges per block,
 /// keyed deterministically (BTreeMap — flush replay order must be
-/// identical across serial and sharded engines).
+/// identical across repeat runs).
 #[derive(Debug, Default)]
 struct StageBuf {
     /// Staged ranges and the last client to touch each block (the flush

@@ -16,8 +16,7 @@ pub type BoxedCallback<W> = Box<dyn FnOnce(&mut Sim<W>, &mut W) + Send>;
 /// Representing those unboxed removes a heap allocation per event, which is
 /// the bulk of the scheduler's per-event overhead; only genuinely capturing
 /// closures pay for a `Box`. `Send` is required throughout so a whole
-/// `Sim` (queue included) can migrate onto a worker thread in the sharded
-/// engine ([`crate::shard`]).
+/// `Sim` (queue included) stays movable between threads.
 enum Callback<W> {
     /// A capturing closure (the general case).
     Boxed(BoxedCallback<W>),
@@ -111,12 +110,6 @@ impl<W> Sim<W> {
         self.queue.len()
     }
 
-    /// Timestamp of the earliest pending event, if any.
-    #[inline]
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse(ev)| ev.time)
-    }
-
     #[inline]
     fn push(&mut self, t: SimTime, cb: Callback<W>) {
         assert!(
@@ -204,26 +197,6 @@ impl<W> Sim<W> {
         self.now
     }
 
-    /// Runs every event strictly before `until`, leaving the clock at the
-    /// last executed event (it is **not** advanced to `until`). This is the
-    /// epoch-sized slice the sharded engine ([`crate::shard`]) executes
-    /// between barriers: events at exactly `until` belong to the next
-    /// epoch, and the clock must stay put so a cross-shard delivery inside
-    /// `[now, until)` is still schedulable.
-    pub fn run_before(&mut self, world: &mut W, until: SimTime) -> SimTime {
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.time >= until {
-                break;
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked");
-            debug_assert!(ev.time >= self.now, "event queue went backwards");
-            self.now = ev.time;
-            self.executed += 1;
-            ev.cb.invoke(self, world);
-        }
-        self.now
-    }
-
     /// Runs at most `n` further events. Returns how many actually ran.
     pub fn step(&mut self, world: &mut W, n: u64) -> u64 {
         let mut ran = 0;
@@ -300,25 +273,6 @@ mod tests {
         assert_eq!(sim.pending(), 1);
         sim.run(&mut world);
         assert_eq!(world, 3);
-    }
-
-    #[test]
-    fn run_before_excludes_the_bound_and_keeps_the_clock() {
-        let mut sim: Sim<u32> = Sim::new();
-        let mut world = 0u32;
-        sim.schedule(10, |_, w: &mut u32| *w += 1);
-        sim.schedule(20, |_, w| *w += 1);
-        sim.schedule(30, |_, w| *w += 1);
-        // Strict bound: the event at exactly 20 must NOT run, and the
-        // clock stays at the last executed event (10), not at 20.
-        sim.run_before(&mut world, 20);
-        assert_eq!(world, 1);
-        assert_eq!(sim.now(), 10);
-        assert_eq!(sim.next_event_time(), Some(20));
-        // A cross-epoch delivery inside [now, until) is still schedulable.
-        sim.schedule_at(15, |_, w| *w += 10);
-        sim.run(&mut world);
-        assert_eq!(world, 13);
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl Span {
 ///
 /// `push` keeps the first `capacity` spans and counts the rest — the
 /// deterministic choice (the retained prefix is a pure function of the
-/// event sequence, so sharded and serial runs retain identical spans).
+/// event sequence, so repeat runs retain identical spans).
 #[derive(Debug, Clone, Default)]
 pub struct SpanLog {
     spans: Vec<Span>,
@@ -106,8 +106,8 @@ impl SpanLog {
     }
 
     /// Absorbs `other`'s spans (subject to this log's capacity) and its
-    /// drop count — the shard-merge path: appending sink logs in canonical
-    /// shard order reproduces the serial append order.
+    /// drop count: appending logs in a fixed order gives the same result
+    /// as pushing their spans into one log in that order.
     pub fn merge(&mut self, other: SpanLog) {
         self.dropped += other.dropped;
         for span in other.spans {

@@ -259,7 +259,7 @@ impl Gauge {
     /// less than the combined current level, preserving `peak >= current`.
     ///
     /// Note the merged peak is a lower bound on the true combined peak:
-    /// per-shard peaks need not coincide in time.
+    /// the two gauges' peaks need not coincide in time.
     pub fn merge(&mut self, other: &Gauge) {
         self.cur += other.cur;
         self.peak = self.peak.max(other.peak).max(self.cur);

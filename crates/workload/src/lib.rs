@@ -18,10 +18,10 @@
 //!   [`OffsetSkew`] reshapes each client's address locality (family
 //!   default, tightened hot ranges, flattened uniform);
 //! * [`stream`] — *what* arrives: a [`TimedStream`] of `(client, op)` pairs
-//!   carrying absolute arrival timestamps. Synthetic specs materialise into
-//!   one ([`OpenLoopSpec::materialize`]), and imported real traces
-//!   (`traces::io::msr_to_ops`, `traces::io::ali_to_ops`) convert into one
-//!   with their *real* arrival times preserved.
+//!   carrying absolute arrival timestamps. Synthetic specs yield the same
+//!   pairs lazily ([`OpenLoopSpec::source`]), and imported real traces
+//!   (`traces::io::msr_to_ops`, `traces::io::ali_to_ops`) convert into a
+//!   stream with their *real* arrival times preserved.
 //!
 //! The replay engine consumes a [`TimedStream`] with a bounded
 //! outstanding-op window per client and an admission queue, and reports
@@ -149,23 +149,6 @@ impl OpenLoopSpec {
     ) -> ArrivalSource {
         ArrivalSource::new(self, base, clients, total_ops, seed)
     }
-
-    /// Materialises the spec into a [`TimedStream`] of `total_ops`
-    /// arrivals — the eager compat path: exactly
-    /// [`Self::source`]`.collect()`, byte-identical op for op (pinned by
-    /// the `lazy_equals_eager_*` tests), at O(total_ops) memory.
-    ///
-    /// # Panics
-    /// Panics if the spec or `base` fail validation, or `clients == 0`.
-    pub fn materialize(
-        &self,
-        base: &WorkloadParams,
-        clients: u64,
-        total_ops: u64,
-        seed: u64,
-    ) -> TimedStream {
-        TimedStream::new(self.source(base, clients, total_ops, seed).collect())
-    }
 }
 
 #[cfg(test)]
@@ -177,6 +160,18 @@ mod tests {
 
     fn base() -> WorkloadParams {
         WorkloadParams::ali_cloud(VOL)
+    }
+
+    /// The eager reference: the spec's whole schedule collected into a
+    /// [`TimedStream`].
+    fn materialize(
+        spec: &OpenLoopSpec,
+        base: &WorkloadParams,
+        clients: u64,
+        total_ops: u64,
+        seed: u64,
+    ) -> TimedStream {
+        TimedStream::new(spec.source(base, clients, total_ops, seed).collect())
     }
 
     #[test]
@@ -193,17 +188,17 @@ mod tests {
     fn materialize_is_deterministic() {
         let spec =
             OpenLoopSpec::poisson(50_000.0).with_client_skew(ClientSkew::Zipf { theta: 0.9 });
-        let a = spec.materialize(&base(), 8, 2000, 42);
-        let b = spec.materialize(&base(), 8, 2000, 42);
+        let a = materialize(&spec, &base(), 8, 2000, 42);
+        let b = materialize(&spec, &base(), 8, 2000, 42);
         assert_eq!(a, b);
-        let c = spec.materialize(&base(), 8, 2000, 43);
+        let c = materialize(&spec, &base(), 8, 2000, 43);
         assert_ne!(a, c);
     }
 
     #[test]
     fn materialize_produces_sorted_valid_stream() {
         let spec = OpenLoopSpec::poisson(20_000.0);
-        let s = spec.materialize(&base(), 4, 1000, 7);
+        let s = materialize(&spec, &base(), 4, 1000, 7);
         assert_eq!(s.len(), 1000);
         s.validate(4, VOL).unwrap();
         // Arrival times strictly increase (gaps are clamped to >= 1 ns).
@@ -214,7 +209,7 @@ mod tests {
     #[test]
     fn materialize_rate_is_close_to_spec() {
         let spec = OpenLoopSpec::poisson(100_000.0);
-        let s = spec.materialize(&base(), 8, 10_000, 11);
+        let s = materialize(&spec, &base(), 8, 10_000, 11);
         let secs = s.horizon_ns() as f64 / 1e9;
         let rate = s.len() as f64 / secs;
         assert!(
@@ -227,7 +222,7 @@ mod tests {
     fn zipf_clients_concentrate_arrivals() {
         let spec =
             OpenLoopSpec::poisson(50_000.0).with_client_skew(ClientSkew::Zipf { theta: 0.95 });
-        let s = spec.materialize(&base(), 16, 8000, 3);
+        let s = materialize(&spec, &base(), 16, 8000, 3);
         let mut counts = [0usize; 16];
         for t in s.ops() {
             counts[t.client as usize] += 1;
@@ -244,9 +239,9 @@ mod tests {
     #[test]
     fn lazy_equals_eager_across_all_specs() {
         // The tentpole invariant: the lazy ArrivalSource yields the exact
-        // op sequence the eager materialize path builds — byte for byte —
-        // for every BaseProcess × RateCurve × ClientSkew × OffsetSkew
-        // combination. (materialize() itself now collects the source, so
+        // op sequence the eager materialize helper builds — byte for
+        // byte — for every BaseProcess × RateCurve × ClientSkew ×
+        // OffsetSkew combination. (The helper collects the source, so
         // this pins the iterator against an independently-driven copy:
         // per-item pulls with interleaved state inspection.)
         let processes = [BaseProcess::Poisson, BaseProcess::Periodic];
@@ -291,7 +286,7 @@ mod tests {
                             .with_rate(rate.clone())
                             .with_client_skew(cs)
                             .with_offset_skew(os);
-                        let eager = spec.materialize(&base(), 32, 400, 99);
+                        let eager = materialize(&spec, &base(), 32, 400, 99);
                         let mut source = spec.source(&base(), 32, 400, 99);
                         assert_eq!(source.remaining(), 400);
                         let lazy: Vec<TimedOp> = source.by_ref().collect();
@@ -338,7 +333,7 @@ mod tests {
     #[test]
     fn uniform_offset_skew_flattens_locality() {
         let spec = OpenLoopSpec::poisson(50_000.0).with_offset_skew(OffsetSkew::Uniform);
-        let s = spec.materialize(&base(), 2, 4000, 9);
+        let s = materialize(&spec, &base(), 2, 4000, 9);
         // With locality flattened, update/read offsets spread over the
         // whole written region instead of piling into the 10 % hot set.
         let mut hits = std::collections::HashSet::new();

@@ -2,7 +2,7 @@
 //! whole [`TimedStream`](crate::TimedStream) up front.
 //!
 //! [`ArrivalSource`] is an iterator producing the **byte-identical** op
-//! sequence `OpenLoopSpec::materialize` would build (same seeds, same
+//! sequence an eager, whole-schedule generator would build (same seeds, same
 //! draws, same order — pinned by `lazy_equals_eager_*` tests), but with
 //! memory proportional to the *touched* client set instead of the
 //! population: per-client content generators are created on a client's
